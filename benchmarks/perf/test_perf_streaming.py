@@ -6,11 +6,12 @@ monitor must fire), incremental adaptation with atomic re-export and hot
 reload, continual onboarding of an unseen domain — and asserts the
 subsystem's invariants without timing anything.
 
-The ``perf``-marked lane (``pytest benchmarks/perf --run-perf -q -s``)
-measures sustained scoring throughput over the stream path, the latency of
+The ``perf``-marked lanes (``pytest benchmarks/perf --run-perf -q -s``)
+measure sustained scoring throughput over the stream path, the latency of
 one adaptation cycle (feedback fold + fine-tune epoch + re-export + reload)
-and of one domain onboarding (expand + re-export + reload), and records them
-into ``BENCH_streaming.json`` via :func:`record_bench`.
+and of one domain onboarding (expand + re-export + reload), and the cost of
+one :meth:`DriftMonitor.observe`, and record them into
+``BENCH_streaming.json`` via :func:`record_bench`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import os
 import tempfile
 import time
 
+import numpy as np
 import pytest
 
 from _bench_utils import record_bench
@@ -38,6 +40,7 @@ from repro.streaming import (
     OnlineAdapter,
     StreamConfig,
     StreamRunner,
+    population_stability_index,
 )
 from repro.tensor import default_dtype
 
@@ -167,3 +170,71 @@ def test_perf_streaming_drift_scenario():
 
     path = record_bench("streaming", entries)
     print(f"\nrecorded {len(entries)} entries -> {path}")
+
+
+def _observe_stream(count: int, domains: int, seed: int = 0) -> list[tuple]:
+    """Seeded labeled traffic: (domain, score, predicted, label) per event."""
+    rng = np.random.default_rng(seed)
+    scores = rng.random(count)
+    labels = rng.integers(0, 2, count)
+    flips = rng.random(count) < 0.2
+    return [(f"d{int(domain)}", float(score), int(label ^ flip), int(label))
+            for domain, score, label, flip in zip(
+                rng.integers(0, domains, count), scores, labels, flips)]
+
+
+@pytest.mark.perf
+def test_perf_monitor_observe():
+    """Per-event monitor cost with both checks running on every event.
+
+    Every event is labeled and the thresholds sit above any reachable value,
+    so after warm-up (references frozen, windows and the labeled window full,
+    every domain past ``min_labeled``) each observe evicts from both windows
+    and runs the PSI and bias checks; nothing fires, so no cooldown skips a
+    check.  The from-scratch reference adds, per event, what ``observe``
+    did before its state became incremental: re-histogramming the reference
+    and the window with :func:`population_stability_index` and rebuilding
+    :meth:`DriftMonitor.bias_report` from the labeled window.
+    """
+    domains, events = 9, 20_000
+    config = DriftConfig(psi_threshold=float("inf"), bias_threshold=2.0)
+    names = [f"d{index}" for index in range(domains)]
+    stream = _observe_stream(events, domains)
+
+    def incremental() -> float:
+        monitor = DriftMonitor(names, config)
+        observe = monitor.observe
+        start = time.perf_counter()
+        for ordinal, (domain, score, predicted, label) in enumerate(stream):
+            observe(ordinal, domain, score, predicted, label)
+        elapsed = time.perf_counter() - start
+        assert not monitor.drift_events
+        return elapsed / events * 1e6
+
+    def from_scratch() -> float:
+        monitor = DriftMonitor(names, config)
+        tracks = monitor._tracks
+        start = time.perf_counter()
+        for ordinal, (domain, score, predicted, label) in enumerate(stream[:4000]):
+            monitor.observe(ordinal, domain, score, predicted, label)
+            track = tracks[domain]
+            if track.reference_share is not None and track.scores:
+                population_stability_index(track.reference, list(track.scores))
+            monitor.bias_report()
+        return (time.perf_counter() - start) / 4000 * 1e6
+
+    incremental()  # warm-up
+    observe_us = min(incremental() for _ in range(3))
+    scratch_us = min(from_scratch() for _ in range(3))
+    speedup = scratch_us / observe_us
+    record_bench("streaming", [{
+        "name": "streaming/monitor_observe_us",
+        "events": events,
+        "domains": domains,
+        "observe_us": round(observe_us, 2),
+        "from_scratch_us": round(scratch_us, 2),
+        "speedup": round(speedup, 2),
+    }])
+    print(f"\nmonitor observe: {observe_us:.1f} us/event "
+          f"(from scratch {scratch_us:.1f} us, {speedup:.1f}x)")
+    assert speedup >= 3.0, f"incremental observe only {speedup:.2f}x"

@@ -10,6 +10,7 @@ degenerate on arbitrary text.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -111,8 +112,7 @@ def _scalar_fallback(token_lists, per_item, width: int) -> np.ndarray | None:
     """Scalar rows when vectorised packing would blow up (or n is 0)."""
     if not len(token_lists):
         return np.empty((0, width), dtype=np.float64)
-    widest = max((len(token) for tokens in token_lists for token in tokens),
-                 default=0)
+    widest = max(map(len, chain.from_iterable(token_lists)), default=0)
     if widest <= MAX_VECTORISED_TOKEN_CHARS:
         return None
     return np.stack([per_item(tokens) for tokens in token_lists])

@@ -81,7 +81,8 @@ class FakeNewsDetector(Module):
 
     #: short name used by the registry / result tables
     name: str = "base"
-    #: channels of the Batch this model reads (documentation + loader checks)
+    #: channels of the Batch this model reads; the serving Predictor
+    #: featurises exactly these, so every ``batch.feature`` name must be here
     required_features: tuple[str, ...] = ("plm",)
     #: whether repro.models.expand.expand_domains can grow the domain axis
     #: while keeping existing domains' outputs bit-identical (models whose

@@ -4,9 +4,10 @@ The :class:`Predictor` closes the gap between "I have a string" and
 ``FakeNewsDetector.predict``: it tokenises, encodes and pads exactly like the
 training-time :class:`repro.data.DataLoader` (the shared implementation is
 :func:`repro.data.encode_texts` — parity is pinned by
-``tests/serve/test_predictor.py``), recomputes the pipeline's feature
-channels (frozen-encoder ``plm``, handcrafted ``style`` / ``emotion``) and
-runs the model under ``no_grad`` with fused kernels in the pipeline's dtype.
+``tests/serve/test_predictor.py``), recomputes the feature channels the model
+reads (its ``required_features`` among the pipeline's frozen-encoder ``plm``
+and handcrafted ``style`` / ``emotion`` channels) and runs the model under
+``no_grad`` with fused kernels in the pipeline's dtype.
 
 Padding defaults to the pipeline's training ``max_length`` so serving is
 bit-identical to training-time encoding.  ``bucket_size`` opts into
@@ -32,7 +33,7 @@ from repro.reliability.circuit import CircuitBreaker
 from repro.reliability.faults import fault_point
 from repro.reliability.retry import RetryPolicy
 from repro.serve.microbatch import MicroBatcher
-from repro.serve.pipeline import Pipeline, verify_pipeline
+from repro.serve.pipeline import Pipeline, PipelineError, verify_pipeline
 from repro.tensor import default_dtype, fused_kernels
 
 
@@ -131,17 +132,34 @@ class Predictor:
         self._bind_pipeline(pipeline)
 
     def _bind_pipeline(self, pipeline: Pipeline) -> None:
-        """Point this predictor at ``pipeline`` (construction and hot reload)."""
-        self.pipeline = pipeline
-        encode = self._encoder_retry.wrap(pipeline.encoder.encode)
-        if self.encoder_breaker is not None:
-            encode = self.encoder_breaker.wrap(encode)
-        self._encode_plm = encode
+        """Point this predictor at ``pipeline`` (construction and hot reload).
+
+        Everything is resolved before anything is swapped, so a pipeline
+        that cannot be served raises :class:`PipelineError` and leaves the
+        predictor serving what it had.
+        """
         # Resolve the channel objects once: pipelines carrying explicit
         # channels (custom or rebuilt from manifest specs) serve those;
         # legacy names-only pipelines get the stock channels, and any
         # unservable name raises PipelineError here, at construction.
-        self._channels = pipeline.resolve_channels()
+        channels = pipeline.resolve_channels()
+        required = tuple(pipeline.model.required_features)
+        served = [channel for channel in channels if channel.name in required]
+        missing = sorted(set(required) - {channel.name for channel in served})
+        if missing:
+            raise PipelineError(
+                f"model '{pipeline.model_name}' reads feature channels "
+                f"{missing} that the pipeline does not serve; pipeline "
+                f"channels: {[channel.name for channel in channels]}")
+        encode = self._encoder_retry.wrap(pipeline.encoder.encode)
+        if self.encoder_breaker is not None:
+            encode = self.encoder_breaker.wrap(encode)
+        self.pipeline = pipeline
+        self._encode_plm = encode
+        self._channels = channels
+        # Scoring computes only the channels the model reads; encode_batch
+        # keeps computing every manifest channel (the training-parity view).
+        self._served_channels = served
         pipeline.model.eval()
 
     def reload(self, source: "Pipeline | str") -> str:
@@ -223,7 +241,15 @@ class Predictor:
         *untruncated* raw texts (like the training extractors), so one
         tokenisation pass feeds both, and the ``plm`` channel goes through
         the predictor's retry/circuit-wrapped encoder backend.
+
+        Every manifest channel is computed, whether the model reads it or
+        not; :meth:`predict` and :meth:`predict_proba` run the same encode
+        over only the channels in the model's ``required_features``.
         """
+        return self._encode(texts, domains, self._channels)
+
+    def _encode(self, texts: Sequence[str], domains, channels) -> Batch:
+        """:meth:`encode_batch` restricted to ``channels``."""
         if not texts:
             raise ValueError("encode_batch needs at least one text")
         fault_point("serve.encode", texts=texts)
@@ -240,7 +266,7 @@ class Predictor:
         request = ServeRequest(texts, token_ids, mask,
                                encode_plm=self._encode_plm)
         features = {}
-        for channel in self._channels:
+        for channel in channels:
             values = np.asarray(channel.serve(request))
             features[channel.name] = values.astype(compute_dtype, copy=False)
         return Batch(
@@ -261,7 +287,7 @@ class Predictor:
             return np.zeros((0, self.pipeline.model_config.num_classes),
                             dtype=np.dtype(self.pipeline.dtype))
         with default_dtype(self.pipeline.dtype), fused_kernels(self.use_fused):
-            batch = self.encode_batch(texts, domains=domains)
+            batch = self._encode(texts, domains, self._served_channels)
             return self.pipeline.model.predict_proba(batch)
 
     def predict(self, texts: Sequence[str], domains=None) -> list[Prediction]:
@@ -274,7 +300,7 @@ class Predictor:
             return []
         start = time.perf_counter()
         with default_dtype(self.pipeline.dtype), fused_kernels(self.use_fused):
-            batch = self.encode_batch(texts, domains=domains)
+            batch = self._encode(texts, domains, self._served_channels)
             probabilities = self.pipeline.model.predict_proba(batch)
         elapsed_ms = (time.perf_counter() - start) * 1e3
         return self._package(batch, probabilities, [elapsed_ms] * len(texts))

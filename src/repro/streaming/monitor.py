@@ -22,17 +22,23 @@ logs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.data.dataset import FAKE_LABEL
 from repro.metrics.fairness import DomainBiasReport, rolling_domain_bias
 from repro.streaming.events import DriftEvent
 
 
+#: smoothing added to every PSI bin share so empty bins stay finite
+_PSI_EPSILON = 1e-4
+
+
 def population_stability_index(reference, current, bins: int = 10,
-                               epsilon: float = 1e-4) -> float:
+                               epsilon: float = _PSI_EPSILON) -> float:
     """PSI between two probability samples over fixed bins on ``[0, 1]``.
 
     Bin edges are deterministic (``bins`` equal-width bins over the unit
@@ -48,14 +54,24 @@ def population_stability_index(reference, current, bins: int = 10,
     if reference.size == 0 or current.size == 0:
         raise ValueError("PSI needs non-empty reference and current samples")
     edges = np.linspace(0.0, 1.0, bins + 1)
-    reference_share = np.histogram(np.clip(reference, 0.0, 1.0), bins=edges)[0] \
-        / reference.size
-    current_share = np.histogram(np.clip(current, 0.0, 1.0), bins=edges)[0] \
-        / current.size
-    reference_share = reference_share + epsilon
-    current_share = current_share + epsilon
-    reference_share /= reference_share.sum()
-    current_share /= current_share.sum()
+    reference_share = _smoothed_share(
+        np.histogram(np.clip(reference, 0.0, 1.0), bins=edges)[0],
+        reference.size, epsilon)
+    current_share = _smoothed_share(
+        np.histogram(np.clip(current, 0.0, 1.0), bins=edges)[0],
+        current.size, epsilon)
+    return _psi_from_shares(reference_share, current_share)
+
+
+def _smoothed_share(counts: np.ndarray, size: int, epsilon: float) -> np.ndarray:
+    """Epsilon-smoothed, renormalised bin shares of a ``size``-sample histogram."""
+    share = counts / size + epsilon
+    share /= share.sum()
+    return share
+
+
+def _psi_from_shares(reference_share: np.ndarray,
+                     current_share: np.ndarray) -> float:
     return float(np.sum((current_share - reference_share)
                         * np.log(current_share / reference_share)))
 
@@ -96,25 +112,59 @@ class DriftConfig:
 
 
 class _DomainTrack:
-    """Rolling score window + frozen PSI reference for one domain."""
+    """Rolling score window + frozen PSI reference for one domain.
 
-    __slots__ = ("scores", "reference", "observed")
+    ``window_counts`` is the PSI histogram of ``scores``, kept in step on
+    every append and eviction; ``reference_share`` is the smoothed reference
+    histogram, computed once when the reference freezes (``None`` before).
+    """
 
-    def __init__(self, window: int):
+    __slots__ = ("index", "scores", "reference", "reference_share",
+                 "window_counts", "observed")
+
+    def __init__(self, index: int, window: int, bins: int):
+        self.index = index
         self.scores: deque = deque(maxlen=window)
         self.reference: list[float] = []
+        self.reference_share: np.ndarray | None = None
+        self.window_counts = np.zeros(bins, dtype=np.int64)
         self.observed = 0
 
 
+def _error_rates(counts: list[int]) -> tuple[float, float]:
+    """``(FNR, FPR)`` of ``[positives, false_negatives, negatives, false_positives]``.
+
+    Integer count over integer count: the same correctly rounded float as
+    ``np.mean`` of the bool masks in :mod:`repro.metrics.fairness`.
+    """
+    positives, false_negatives, negatives, false_positives = counts
+    return (false_negatives / positives if positives else 0.0,
+            false_positives / negatives if negatives else 0.0)
+
+
 class DriftMonitor:
-    """Windowed per-domain drift detection, deterministic by ordinal."""
+    """Windowed per-domain drift detection, deterministic by ordinal.
+
+    Both checks are incremental: the PSI window histograms and the pooled
+    labeled window's per-domain confusion counts are updated on every
+    append, eviction and reset, so one :meth:`observe` costs O(bins +
+    domains) instead of re-scanning the windows.  :func:`population_stability_index`
+    and :meth:`bias_report` recompute the same values from scratch and stay
+    the reference the incremental state is tested against.
+    """
 
     def __init__(self, domain_names, config: DriftConfig | None = None):
         self.config = config or DriftConfig()
         self.domain_names: list[str] = []
         self._tracks: dict[str, _DomainTrack] = {}
+        self._edges: list[float] = np.linspace(
+            0.0, 1.0, self.config.psi_bins + 1).tolist()
         #: pooled labeled history, arrival-ordered: (domain_index, y_true, y_pred)
         self._labeled: deque = deque(maxlen=self.config.window)
+        #: confusion counts of ``_labeled`` per domain index and pooled:
+        #: [positives, false_negatives, negatives, false_positives]
+        self._confusion: list[list[int]] = []
+        self._confusion_total = [0, 0, 0, 0]
         #: domain -> kind -> last firing ordinal (cooldown bookkeeping)
         self._last_fired: dict[str, dict[str, int]] = {}
         self.drift_events: list[DriftEvent] = []
@@ -126,8 +176,11 @@ class DriftMonitor:
         """Start tracking ``name`` (seed domains and onboarded ones alike)."""
         if name in self._tracks:
             raise ValueError(f"domain '{name}' is already tracked")
+        self._tracks[name] = _DomainTrack(len(self.domain_names),
+                                          self.config.window,
+                                          self.config.psi_bins)
         self.domain_names.append(name)
-        self._tracks[name] = _DomainTrack(self.config.window)
+        self._confusion.append([0, 0, 0, 0])
         self._last_fired[name] = {}
 
     def reset_domain(self, name: str) -> None:
@@ -141,11 +194,16 @@ class DriftMonitor:
         """
         track = self._track(name)
         track.scores.clear()
+        track.window_counts[:] = 0
         track.reference = []
-        index = self.domain_names.index(name)
+        track.reference_share = None
+        index = track.index
         self._labeled = deque(
             (entry for entry in self._labeled if entry[0] != index),
             maxlen=self.config.window)
+        for column, count in enumerate(self._confusion[index]):
+            self._confusion_total[column] -= count
+        self._confusion[index] = [0, 0, 0, 0]
         self._last_fired[name] = {}
 
     def _track(self, name: str) -> _DomainTrack:
@@ -156,28 +214,66 @@ class DriftMonitor:
                 "onboarding calls register_domain)")
         return self._tracks[name]
 
+    def _count(self, counts: np.ndarray, score: float, step: int) -> None:
+        """Move the count of ``score``'s PSI bin by ``step``.
+
+        ``np.histogram``'s rule after clipping into ``[0, 1]``: bins are
+        half-open ``[edge_i, edge_i+1)`` except the last, which is closed; a
+        NaN falls in no bin (but still counts in the window size).
+        """
+        if score == score:
+            index = bisect_right(self._edges, min(max(score, 0.0), 1.0)) - 1
+            counts[min(index, len(counts) - 1)] += step
+
+    def _tally(self, entry: tuple[int, int, int], sign: int) -> None:
+        """Add (``sign=1``) or remove (``-1``) one labeled entry's counts."""
+        domain_index, y_true, y_pred = entry
+        for counts in (self._confusion[domain_index], self._confusion_total):
+            if y_true == FAKE_LABEL:
+                counts[0] += sign
+                if y_pred != FAKE_LABEL:
+                    counts[1] += sign
+            else:
+                counts[2] += sign
+                if y_pred == FAKE_LABEL:
+                    counts[3] += sign
+
     # ------------------------------------------------------------------ #
     def observe(self, ordinal: int, domain: str, probability_fake: float,
                 predicted_label: int,
                 true_label: int | None = None) -> "list[DriftEvent]":
         """Feed one scored event; returns the drift events it triggered."""
+        cfg = self.config
         track = self._track(domain)
         track.observed += 1
-        if len(track.reference) < self.config.reference_size:
+        score = float(probability_fake)
+        if track.reference_share is None:
             # Still freezing the reference: reference observations are the
             # baseline, they are never tested against themselves.
-            track.reference.append(float(probability_fake))
+            track.reference.append(score)
+            if len(track.reference) == cfg.reference_size:
+                counts = np.zeros(cfg.psi_bins, dtype=np.int64)
+                for value in track.reference:
+                    self._count(counts, value, 1)
+                track.reference_share = _smoothed_share(
+                    counts, cfg.reference_size, _PSI_EPSILON)
         else:
-            track.scores.append(float(probability_fake))
+            if len(track.scores) == cfg.window:
+                self._count(track.window_counts, track.scores[0], -1)
+            track.scores.append(score)
+            self._count(track.window_counts, score, 1)
         if true_label is not None:
-            self._labeled.append((self.domain_names.index(domain),
-                                  int(true_label), int(predicted_label)))
+            if len(self._labeled) == cfg.window:
+                self._tally(self._labeled[0], -1)
+            entry = (track.index, int(true_label), int(predicted_label))
+            self._labeled.append(entry)
+            self._tally(entry, 1)
 
         fired: list[DriftEvent] = []
         score_event = self._check_score_drift(ordinal, domain, track)
         if score_event is not None:
             fired.append(score_event)
-        bias_event = self._check_bias_drift(ordinal, domain)
+        bias_event = self._check_bias_drift(ordinal, domain, track)
         if bias_event is not None:
             fired.append(bias_event)
         self.drift_events.extend(fired)
@@ -190,12 +286,13 @@ class DriftMonitor:
     def _check_score_drift(self, ordinal: int, domain: str,
                            track: _DomainTrack) -> DriftEvent | None:
         cfg = self.config
-        if (len(track.reference) < cfg.reference_size
+        if (track.reference_share is None
                 or len(track.scores) < cfg.min_window
                 or not self._cooled_down(ordinal, domain, "score_drift")):
             return None
-        psi = population_stability_index(track.reference, list(track.scores),
-                                         bins=cfg.psi_bins)
+        psi = _psi_from_shares(
+            track.reference_share,
+            _smoothed_share(track.window_counts, len(track.scores), _PSI_EPSILON))
         if psi <= cfg.psi_threshold:
             return None
         self._last_fired[domain]["score_drift"] = ordinal
@@ -204,18 +301,19 @@ class DriftMonitor:
             value=psi, threshold=cfg.psi_threshold, window=len(track.scores),
             details={"reference_size": len(track.reference)})
 
-    def _check_bias_drift(self, ordinal: int, domain: str) -> DriftEvent | None:
+    def _check_bias_drift(self, ordinal: int, domain: str,
+                          track: _DomainTrack) -> DriftEvent | None:
         cfg = self.config
         if (len(self._labeled) < cfg.min_labeled
                 or not self._cooled_down(ordinal, domain, "bias_drift")):
             return None
-        domain_index = self.domain_names.index(domain)
-        domain_labeled = sum(1 for entry in self._labeled
-                             if entry[0] == domain_index)
+        counts = self._confusion[track.index]
+        domain_labeled = counts[0] + counts[2]
         if domain_labeled < cfg.min_labeled:
             return None
-        report = self.bias_report()
-        deviation = report.deviation(domain)
+        fnr_domain, fpr_domain = _error_rates(counts)
+        fnr_overall, fpr_overall = _error_rates(self._confusion_total)
+        deviation = abs(fnr_domain - fnr_overall) + abs(fpr_domain - fpr_overall)
         if deviation <= cfg.bias_threshold:
             return None
         self._last_fired[domain]["bias_drift"] = ordinal
@@ -225,10 +323,10 @@ class DriftMonitor:
             window=len(self._labeled),
             details={
                 "domain_labeled": domain_labeled,
-                "fnr_domain": report.fnr_per_domain[domain],
-                "fpr_domain": report.fpr_per_domain[domain],
-                "fnr_overall": report.fnr_overall,
-                "fpr_overall": report.fpr_overall,
+                "fnr_domain": fnr_domain,
+                "fpr_domain": fpr_domain,
+                "fnr_overall": fnr_overall,
+                "fpr_overall": fpr_overall,
             })
 
     # ------------------------------------------------------------------ #

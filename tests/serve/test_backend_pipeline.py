@@ -217,6 +217,8 @@ class TestCustomChannelRoundTrip:
         assert expected.dtype == np.dtype(dtype)
         loaded = load_pipeline(save_pipeline(pipeline, tmp_path / "artifact"))
         assert loaded.feature_channels == ("plm", helper.CHANNEL_KIND)
+        served = [channel.name for channel in loaded.predictor()._served_channels]
+        assert served == ["plm", helper.CHANNEL_KIND]
         # The reloaded plm channel shares the pipeline's backend instance.
         assert loaded.channels[0].backend is loaded.encoder
         np.testing.assert_array_equal(

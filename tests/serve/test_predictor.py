@@ -17,15 +17,23 @@ from repro.encoders import (
     style_feature_extractor,
 )
 from repro.models import build_model
-from repro.serve import Pipeline
+from repro.models.registry import DISPLAY_NAMES
+from repro.serve import Pipeline, PipelineError
 from repro.tensor import default_dtype
 
 DTYPES = ("float64", "float32")
+#: every detector of the stock zoo
+STOCK_MODELS = sorted(DISPLAY_NAMES)
 
 
 @pytest.fixture(scope="module")
 def probe_items(tiny_splits):
     return tiny_splits.test.items[:8]
+
+
+def _served(predictor):
+    """Names of the channels the predictor computes when scoring."""
+    return tuple(channel.name for channel in predictor._served_channels)
 
 
 def _pipeline(model_config, tiny_vocab, tiny_encoder, tiny_dataset, dtype,
@@ -70,17 +78,24 @@ class TestTrainingParity:
             np.testing.assert_array_equal(batch.features[name],
                                           expected.features[name])
 
-    def test_probabilities_match_training_batch_path(self, dtype, model_config,
+    @pytest.mark.parametrize("name", STOCK_MODELS)
+    def test_probabilities_match_training_batch_path(self, dtype, name, model_config,
                                                      tiny_vocab, tiny_encoder,
                                                      tiny_dataset, probe_items):
-        """predict_proba over raw text == model.predict_proba over loader batch."""
-        pipeline = _pipeline(model_config, tiny_vocab, tiny_encoder, tiny_dataset, dtype)
+        """predict_proba over raw text == model.predict_proba over the full
+        three-channel loader batch, though scoring computes only the
+        model's required_features."""
+        pipeline = _pipeline(model_config, tiny_vocab, tiny_encoder, tiny_dataset,
+                             dtype, name=name)
+        predictor = pipeline.predictor()
+        assert set(_served(predictor)) == set(pipeline.model.required_features)
         loader = self._loader(probe_items, tiny_dataset, tiny_vocab, tiny_encoder, dtype)
         with default_dtype(dtype):
             expected = pipeline.model.predict_proba(loader.full_batch())
-        observed = pipeline.predictor().predict_proba(
+        observed = predictor.predict_proba(
             [item.text for item in probe_items],
             domains=[item.domain for item in probe_items])
+        assert observed.dtype == expected.dtype
         np.testing.assert_array_equal(observed, expected)
 
     def test_truncation_parity_for_overlong_text(self, dtype, model_config, tiny_vocab,
@@ -182,6 +197,45 @@ class TestPredict:
                                    [p.probabilities for p in direct], atol=1e-12)
         with pytest.raises(ValueError, match="shorter"):
             list(predictor.predict_iter(texts, domains=domains[:2], batch_size=3))
+
+
+class TestServedChannels:
+    def _unservable(self, model_config, tiny_vocab, tiny_encoder, tiny_dataset):
+        """A StyleLSTM exported without the style channel it reads."""
+        model = build_model("stylelstm", model_config)
+        return Pipeline.from_training(model, tiny_vocab, tiny_encoder, max_length=16,
+                                      domain_names=tiny_dataset.domain_names,
+                                      feature_channels=("plm", "emotion"))
+
+    def test_missing_required_channel_fails_at_construction(
+            self, model_config, tiny_vocab, tiny_encoder, tiny_dataset):
+        pipeline = self._unservable(model_config, tiny_vocab, tiny_encoder,
+                                    tiny_dataset)
+        with pytest.raises(PipelineError, match=r"reads feature channels \['style'\]"):
+            pipeline.predictor()
+
+    def test_unservable_reload_keeps_serving_the_old_pipeline(
+            self, model_config, tiny_vocab, tiny_encoder, tiny_dataset):
+        pipeline = _pipeline(model_config, tiny_vocab, tiny_encoder, tiny_dataset,
+                             "float64")
+        predictor = pipeline.predictor()
+        before = predictor.predict_proba(["a b c"])
+        with pytest.raises(PipelineError, match="style"):
+            predictor.reload(self._unservable(model_config, tiny_vocab, tiny_encoder,
+                                              tiny_dataset))
+        assert predictor.pipeline is pipeline
+        assert predictor.reloads == 0
+        assert _served(predictor) == ("plm",)
+        np.testing.assert_array_equal(predictor.predict_proba(["a b c"]), before)
+
+    def test_encode_batch_keeps_every_manifest_channel(
+            self, model_config, tiny_vocab, tiny_encoder, tiny_dataset):
+        pipeline = _pipeline(model_config, tiny_vocab, tiny_encoder, tiny_dataset,
+                             "float64")
+        predictor = pipeline.predictor()
+        assert _served(predictor) == ("plm",)
+        batch = predictor.encode_batch(["a b c"])
+        assert tuple(batch.features) == pipeline.feature_channels
 
 
 class TestMicroBatcher:
